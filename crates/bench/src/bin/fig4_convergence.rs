@@ -49,15 +49,15 @@ fn main() {
         stage1.iterations, stage1.runtime_s
     );
 
-    // Stage 2 (Fig. 4(b)): incumbent objective across branch-and-bound
-    // improvements, starting from the Stage-1 rates.
+    // Stage 2 (Fig. 4(b)): best objective after each improvement of the
+    // delay-threshold sweep, starting from the Stage-1 rates.
     println!("Fig. 4(b): objective function value in Stage 2 (incumbent trace)");
     print_header(&["Step", "F_s2 incumbent"], &widths);
     for (i, value) in stage2.trace.iter().enumerate() {
         print_row(&[i.to_string(), fmt(*value, 6)], &widths);
     }
     println!(
-        "optimal lambda = {:?}, {} nodes expanded, {} leaves evaluated\n",
+        "optimal lambda = {:?}, {} thresholds swept, {} assignments evaluated\n",
         stage2.lambda, stage2.nodes_expanded, stage2.leaves_evaluated
     );
 

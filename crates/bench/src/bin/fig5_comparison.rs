@@ -118,7 +118,7 @@ fn main() {
     // With the paper's stated constants the computation-energy penalty of a
     // larger polynomial degree always outweighs the (alpha_msl = 1e-2)
     // security gain, so every method settles on lambda = 2^15 and QuHE ties
-    // OCCR (see EXPERIMENTS.md). Raising the security weight moves the
+    // OCCR. Raising the security weight moves the
     // crossover and recovers the full Fig. 5(d) ordering, which this ablation
     // demonstrates.
     let mut emphasized = config;

@@ -2,8 +2,7 @@
 //!
 //! One binary per table/figure of the paper's evaluation section
 //! (Section VI), plus Criterion micro-benchmarks of the stages and the
-//! substrates. See EXPERIMENTS.md at the workspace root for the experiment
-//! index and the measured-vs-paper comparison.
+//! substrates. The table below is the experiment index.
 //!
 //! | Binary | Regenerates |
 //! |---|---|

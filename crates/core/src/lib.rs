@@ -13,7 +13,8 @@
 //!   checking and feasible-point construction.
 //! * [`stage1`] — entanglement rates and Werner parameters via the convex
 //!   log-transformed problem P3 (Eq. 20) plus the closed-form Eq. (18).
-//! * [`stage2`] — CKKS polynomial degrees via branch-and-bound (Algorithm 2).
+//! * [`stage2`] — CKKS polynomial degrees (Algorithm 2), solved exactly by a
+//!   sweep over the delay threshold.
 //! * [`stage3`] — transmit powers, bandwidths and CPU frequencies via
 //!   quadratic-transform fractional programming (Eqs. 25–28, Algorithm 3).
 //! * [`quhe`] — the complete alternating procedure (Algorithm 4).
@@ -21,8 +22,7 @@
 //!   the [`solver::SolveSpec`] request builder, the [`solver::SolveReport`]
 //!   result type and the named [`solver::SolverRegistry`] of built-in
 //!   solvers (`quhe`, `aa`, `olaa`, `occr`). Every harness routes through
-//!   this; the legacy entry points on [`quhe::QuheAlgorithm`] and in
-//!   [`baselines`] are deprecated shims over it.
+//!   this.
 //! * [`baselines`] — AA, OLAA and OCCR, plus the Stage-1 baselines (gradient
 //!   descent, simulated annealing, random selection) of Section VI-B.
 //! * [`json`] — the minimal JSON tree, writer and parser that
@@ -83,13 +83,8 @@ pub use error::{QuheError, QuheResult};
 
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {
-    // The deprecated legacy entry points stay importable through the prelude
-    // for one deprecation cycle; using them still warns at the call site.
-    #[allow(deprecated)]
-    pub use crate::baselines::{average_allocation, occr, olaa};
     pub use crate::baselines::{
         stage1_gradient_descent, stage1_random_selection, stage1_simulated_annealing,
-        BaselineResult,
     };
     pub use crate::error::{QuheError, QuheResult};
     pub use crate::fingerprint::Fingerprint;

@@ -2,14 +2,10 @@
 //! optimization over the three blocks `(phi, w)`, `(lambda, T)` and
 //! `(p, b, f^(c), f^(s), T)` until the objective converges.
 //!
-//! The public entry points of this driver are **deprecated shims** over the
-//! unified solver surface in [`crate::solver`] — construct a
-//! [`QuheSolver`] (or look up `"quhe"` in
+//! Solving goes through the unified solver surface in [`crate::solver`]:
+//! construct a [`crate::solver::QuheSolver`] (or look up `"quhe"` in
 //! [`crate::solver::SolverRegistry::builtin`]) and describe the run with a
-//! [`SolveSpec`] instead. The shims delegate to the exact same
-//! implementation and are pinned bit-identical by `tests/solver_parity.rs`;
-//! they remain for one deprecation cycle (see the README deprecation
-//! policy).
+//! [`crate::solver::SolveSpec`]; both run the loop implemented here.
 
 use std::time::Instant;
 
@@ -17,8 +13,6 @@ use crate::error::{QuheError, QuheResult};
 use crate::metrics::MethodMetrics;
 use crate::params::QuheConfig;
 use crate::problem::Problem;
-use crate::scenario::SystemScenario;
-use crate::solver::{QuheSolver, SolveReport, SolveSpec, Solver};
 use crate::stage1::{Stage1Result, Stage1Solver};
 use crate::stage2::{Stage2Result, Stage2Solver};
 use crate::stage3::{Stage3Result, Stage3Solver};
@@ -37,9 +31,9 @@ pub struct OuterIterationRecord {
     pub after_stage3: f64,
 }
 
-/// Result of a full QuHE run (the legacy result shape; the unified surface
-/// returns [`SolveReport`], which carries the same payload plus the solver
-/// name and spec echo).
+/// Result of a full QuHE run. The unified surface returns it as a
+/// [`crate::solver::SolveReport`], which carries the same payload plus the
+/// solver name and spec echo.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct QuheOutcome {
     /// The final variable assignment.
@@ -70,7 +64,7 @@ pub struct QuheOutcome {
 }
 
 /// How one invocation of the alternating loop runs — the resolved form of a
-/// [`SolveSpec`] once the start point has been materialized.
+/// [`crate::solver::SolveSpec`] once the start point has been materialized.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunOptions {
     /// Whether Stage 3 explores the canonical multi-start points on new
@@ -101,95 +95,6 @@ impl QuheAlgorithm {
     /// The configuration in use.
     pub fn config(&self) -> &QuheConfig {
         &self.config
-    }
-
-    fn solver(&self) -> QuheSolver {
-        QuheSolver::new(self.config)
-    }
-
-    /// Runs Algorithm 4 on the scenario, starting from the deterministic
-    /// feasible point of [`Problem::initial_point`].
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(
-        note = "use `QuheSolver` (registry name \"quhe\") with `SolveSpec::cold()` instead"
-    )]
-    pub fn solve(&self, scenario: &SystemScenario) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve(scenario, &SolveSpec::cold())?
-            .into_quhe_outcome()
-    }
-
-    /// Solves every scenario of a batch concurrently on a scoped worker pool
-    /// (`threads = 0` sizes the pool to the machine, `1` runs serially) and
-    /// returns the outcomes in input order, bit-identical to a serial loop.
-    #[deprecated(
-        note = "use `Solver::solve_batch` on a `QuheSolver` with `SolveSpec::cold()` instead"
-    )]
-    pub fn solve_batch(
-        &self,
-        scenarios: &[SystemScenario],
-        threads: usize,
-    ) -> Vec<QuheResult<QuheOutcome>> {
-        Solver::solve_batch(&self.solver(), scenarios, &SolveSpec::cold(), threads)
-            .into_iter()
-            .map(|report| report.and_then(SolveReport::into_quhe_outcome))
-            .collect()
-    }
-
-    /// Runs Algorithm 4 from the deterministic initial point with Stage 3
-    /// restricted to the single start carried through the alternation — no
-    /// multi-start basin exploration. This is the "cold single-start" solve:
-    /// the cheapest from-scratch solve, and the floor that the online
-    /// engine's warm-started steps are guaranteed never to fall below.
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(
-        note = "use `QuheSolver` (registry name \"quhe\") with `SolveSpec::single_start()` instead"
-    )]
-    pub fn solve_single_start(&self, scenario: &SystemScenario) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve(scenario, &SolveSpec::single_start())?
-            .into_quhe_outcome()
-    }
-
-    /// Runs Algorithm 4 from an explicit starting point with multi-start
-    /// exploration (used by the Fig. 3 optimality study, which samples random
-    /// initial resource configurations). The given problem is reused as-is,
-    /// exactly as before the deprecation.
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(
-        note = "use `QuheSolver` with `SolveSpec::warm_from(start).with_multi_start(true)` instead"
-    )]
-    pub fn solve_from(
-        &self,
-        problem: &Problem,
-        start: DecisionVariables,
-    ) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve_prepared(problem, &SolveSpec::warm_from(start).with_multi_start(true))?
-            .into_quhe_outcome()
-    }
-
-    /// Like [`QuheAlgorithm::solve_from`] but with Stage 3 restricted to the
-    /// warm start throughout (no multi-start exploration) — the tracking mode
-    /// of the online engine.
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(note = "use `QuheSolver` with `SolveSpec::warm_from(start)` instead")]
-    pub fn solve_from_warm(
-        &self,
-        problem: &Problem,
-        start: DecisionVariables,
-    ) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve_prepared(problem, &SolveSpec::warm_from(start))?
-            .into_quhe_outcome()
     }
 
     pub(crate) fn run_from(
@@ -302,7 +207,8 @@ impl QuheAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::AaSolver;
+    use crate::scenario::SystemScenario;
+    use crate::solver::{AaSolver, QuheSolver, SolveReport, SolveSpec, Solver};
 
     fn scenario() -> SystemScenario {
         SystemScenario::paper_default(1)

@@ -32,8 +32,8 @@ impl SystemScenario {
     /// * `lambda_choices` empty — constraint (17d) needs a non-empty choice
     ///   set;
     /// * `lambda_choices` containing a duplicate or out-of-order entry — the
-    ///   choice set must be strictly ascending so branch-and-bound bounds are
-    ///   well defined.
+    ///   choice set must be strictly ascending so every degree names exactly
+    ///   one Stage-2 choice.
     pub fn new(
         qkd: NetworkScenario,
         mec: MecScenario,

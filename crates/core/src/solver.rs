@@ -22,9 +22,7 @@
 //!
 //! The registry ships four built-ins — `quhe`, `aa`, `olaa`, `occr` — and
 //! custom solvers plug in through [`SolverRegistry::register`] (see
-//! `examples/custom_solver.rs`). The legacy entry points on
-//! [`QuheAlgorithm`] and in [`crate::baselines`] survive as thin deprecated
-//! shims over this API, pinned bit-identical by `tests/solver_parity.rs`.
+//! `examples/custom_solver.rs`).
 
 use std::time::Instant;
 
@@ -439,34 +437,6 @@ impl SolveReport {
             stage3: Some(outcome.stage3),
             runtime_s: outcome.runtime_s,
         }
-    }
-
-    /// Reconstructs the legacy [`QuheOutcome`] shape. Requires the per-stage
-    /// telemetry that [`InstrumentationLevel::Standard`] (and up) records.
-    ///
-    /// # Errors
-    /// [`QuheError::InvalidConfig`] if the report was produced under minimal
-    /// instrumentation.
-    pub fn into_quhe_outcome(self) -> QuheResult<QuheOutcome> {
-        let (Some(stage1), Some(stage2), Some(stage3)) = (self.stage1, self.stage2, self.stage3)
-        else {
-            return Err(QuheError::InvalidConfig {
-                reason: "reconstructing a QuheOutcome needs standard instrumentation".to_string(),
-            });
-        };
-        Ok(QuheOutcome {
-            objective: self.objective,
-            variables: self.variables,
-            metrics: self.metrics,
-            outer_iterations: self.outer_iterations,
-            converged: self.converged,
-            outer_trace: self.outer_trace,
-            stage1,
-            stage2,
-            stage3,
-            stage_calls: self.stage_calls,
-            runtime_s: self.runtime_s,
-        })
     }
 
     /// Serializes to a [`JsonValue`] tree (the shared `quhe-bench` report

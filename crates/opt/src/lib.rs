@@ -4,7 +4,9 @@
 //! allocation problem with a three-stage alternating optimization:
 //!
 //! 1. a convex subproblem in the (log-transformed) entanglement rates,
-//! 2. a branch-and-bound search over the discrete CKKS polynomial degrees,
+//! 2. a search over the discrete CKKS polynomial degrees (solved exactly by
+//!    a problem-specific delay-threshold sweep in `quhe-core`, so it needs
+//!    nothing from this crate),
 //! 3. a fractional-programming / alternating convex subproblem over the
 //!    communication and computation resources.
 //!
@@ -21,13 +23,10 @@
 //! * projected gradient descent ([`gradient`]), damped Newton ([`newton`]) and
 //!   a log-barrier interior-point method ([`barrier`]) for smooth convex
 //!   problems,
-//! * a generic best-first branch-and-bound engine ([`bnb`]),
 //! * the quadratic-transform fractional-programming driver of Shen & Yu
 //!   ([`fractional`]),
 //! * simulated annealing ([`annealing`]) and random search ([`random_search`])
-//!   baselines, and
-//! * a block-coordinate / alternating-optimization driver with convergence
-//!   tracking ([`block`]).
+//!   baselines.
 //!
 //! # Example
 //!
@@ -51,8 +50,6 @@
 
 pub mod annealing;
 pub mod barrier;
-pub mod block;
-pub mod bnb;
 pub mod diff;
 pub mod error;
 pub mod fractional;
@@ -69,8 +66,6 @@ pub use error::{OptError, OptResult};
 pub mod prelude {
     pub use crate::annealing::{SimulatedAnnealing, SimulatedAnnealingConfig};
     pub use crate::barrier::{BarrierConfig, BarrierSolver, InequalityProblem};
-    pub use crate::block::{BlockDescent, BlockDescentConfig, BlockTrace};
-    pub use crate::bnb::{BranchAndBound, BranchAndBoundConfig, DiscreteProblem};
     pub use crate::diff::{central_gradient, central_hessian};
     pub use crate::error::{OptError, OptResult};
     pub use crate::fractional::{QuadraticTransform, QuadraticTransformConfig, RatioTerm};

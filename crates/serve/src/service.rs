@@ -500,28 +500,6 @@ impl SolveService {
         ServiceConfig::default().build_with(registry, catalog)
     }
 
-    /// The built-in solvers and catalogue under a shared configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServiceConfig::new(config).build()` — the builder also \
-                sizes the cache, workers, queue bound and coalescing"
-    )]
-    pub fn builtin(config: QuheConfig) -> Self {
-        ServiceConfig::new(config).build()
-    }
-
-    /// Replaces the cache with one holding at most `capacity` reports.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServiceConfig::with_cache_capacity` before building"
-    )]
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = ScenarioCache::new(capacity);
-        self.config = self.config.with_cache_capacity(capacity);
-        self
-    }
-
     /// The solver registry.
     pub fn registry(&self) -> &SolverRegistry {
         &self.registry
@@ -1143,31 +1121,6 @@ mod tests {
                 "{bad}"
             );
         }
-    }
-
-    #[test]
-    fn deprecated_constructors_match_the_config_builder() {
-        // The shims must stay behaviour-identical to the builder they
-        // forward to: same cache capacity, same serving decisions.
-        #[allow(deprecated)]
-        let legacy = SolveService::builtin(quick_config()).with_cache_capacity(7);
-        let modern = ServiceConfig::new(quick_config())
-            .with_cache_capacity(7)
-            .build();
-        assert_eq!(legacy.cache().capacity(), 7);
-        assert_eq!(legacy.config().cache_capacity(), 7);
-        assert_eq!(legacy.config(), modern.config());
-
-        let request = SolveRequest::catalog("paper_default", 11);
-        let from_legacy = legacy.handle(&request).unwrap();
-        let from_modern = modern.handle(&request).unwrap();
-        assert_eq!(from_legacy.cache, CacheOutcome::Cold);
-        assert_eq!(from_modern.cache, CacheOutcome::Cold);
-        assert_eq!(
-            from_legacy.report.objective.to_bits(),
-            from_modern.report.objective.to_bits()
-        );
-        assert_eq!(from_legacy.report.variables, from_modern.report.variables);
     }
 
     #[test]

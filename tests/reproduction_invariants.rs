@@ -30,6 +30,9 @@ fn equation_18_werner_assignment_saturates_link_capacity() {
 
 #[test]
 fn stage2_branch_and_bound_is_exact_on_randomized_resource_allocations() {
+    // The paper's Algorithm 2 searches the degrees by branch-and-bound; the
+    // Stage-2 solver's exact threshold sweep must find the same optimum as
+    // exhaustive enumeration.
     use rand::SeedableRng;
     let scenario = SystemScenario::paper_default(9);
     let config = QuheConfig::default();
@@ -38,10 +41,10 @@ fn stage2_branch_and_bound_is_exact_on_randomized_resource_allocations() {
     let solver = Stage2Solver::new();
     for _ in 0..5 {
         let vars = problem.random_initial_point(&mut rng).unwrap();
-        let bnb = solver.solve(&problem, &vars).unwrap();
+        let sweep = solver.solve(&problem, &vars).unwrap();
         let exhaustive = solver.solve_exhaustive(&problem, &vars).unwrap();
-        assert!((bnb.objective - exhaustive.objective).abs() < 1e-9);
-        assert_eq!(bnb.lambda, exhaustive.lambda);
+        assert_eq!(sweep.objective.to_bits(), exhaustive.objective.to_bits());
+        assert_eq!(sweep.lambda, exhaustive.lambda);
     }
 }
 
